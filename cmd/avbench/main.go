@@ -10,25 +10,16 @@
 // It can also snapshot the fast-path micro-benchmarks as JSON (the
 // committed BENCH_2.json), the durable/group-commit fast path (the
 // committed BENCH_4.json), the read plane's serving numbers (the
-// committed BENCH_5.json), or the multi-core scaling matrix of the
-// durable path across GOMAXPROCS 1/4/16 with the epoch commit pipeline
-// off and on (the committed BENCH_6.json):
+// committed BENCH_5.json), or the sharded-cluster scaling cells (the
+// committed BENCH_7.json):
 //
 //	avbench -perf BENCH_2.json
 //	avbench -durable BENCH_4.json
 //	avbench -reads BENCH_5.json
-//	avbench -matrix BENCH_6.json
 //	avbench -shard BENCH_7.json
-//	avbench -pipeline BENCH_8.json
-//
-// -pipeline reruns the BENCH_6 matrix with pipelined workers: each
-// holds a bounded window of in-flight durability acknowledgements
-// (ConsumeAsync) instead of waiting out every op, comparing the two
-// commit pipelines at identical overlap (the committed BENCH_8.json).
 //
 // -procs pins GOMAXPROCS for the whole run (recorded in every JSON
-// snapshot); with -matrix and -pipeline it collapses the GOMAXPROCS
-// axis to that single point.
+// snapshot).
 package main
 
 import (
@@ -51,12 +42,10 @@ func main() {
 		reads    = flag.String("reads", "", `write a read-plane snapshot (JSON) to this file ("-" for stdout) instead of sweeping`)
 		readFrac = flag.Float64("read-frac", 0.9, "fraction of reads in the -reads mixed workload")
 		readOps  = flag.Int("read-ops", 5000, "mixed operations in the -reads workload")
-		matrix   = flag.String("matrix", "", `write the multi-core scaling matrix (JSON) to this file ("-" for stdout) instead of sweeping`)
 		shard    = flag.String("shard", "", `write the sharded-cluster scaling snapshot (JSON) to this file ("-" for stdout) instead of sweeping`)
-		pipe     = flag.String("pipeline", "", `write the pipelined-commit matrix (JSON) to this file ("-" for stdout) instead of sweeping`)
 		shardKey = flag.Int("shard-keys", 100000, "key-space size for the -shard workload")
 		shardOps = flag.Int("shard-ops", 4000, "updates per -shard cell")
-		procs    = flag.Int("procs", 0, "pin GOMAXPROCS for the run (0 = runtime default; with -matrix, restricts the axis to this value)")
+		procs    = flag.Int("procs", 0, "pin GOMAXPROCS for the run (0 = runtime default)")
 	)
 	flag.Parse()
 
@@ -92,29 +81,6 @@ func main() {
 		}
 		return
 	}
-	if *matrix != "" {
-		axis := []int{1, 4, 16}
-		if *procs > 0 {
-			axis = []int{*procs}
-		}
-		if err := runMatrix(*matrix, axis); err != nil {
-			fmt.Fprintln(os.Stderr, "avbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pipe != "" {
-		axis := []int{1, 4, 16}
-		if *procs > 0 {
-			axis = []int{*procs}
-		}
-		if err := runPipeline(*pipe, axis); err != nil {
-			fmt.Fprintln(os.Stderr, "avbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)

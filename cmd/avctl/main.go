@@ -18,11 +18,7 @@
 // -readplane (the default) the dump also carries the readplane_*
 // counters — events applied/stale, resyncs, feed drops, per-model read
 // counts, RYW waits/timeouts/violations — and the readplane_lag and
-// readplane_ryw_wait histograms. When the node runs with -epoch, stats
-// follows the dump with a derived summary of the epoch commit pipeline:
-// current/durable epoch, mean commits per epoch (the live fsync
-// amortization factor), early closes, and acknowledgement-wait
-// percentiles.
+// readplane_ryw_wait histograms.
 //
 // `watch` streams one of the read plane's materialized models
 // (ndjson, one snapshot per line) from /read/watch until interrupted.
@@ -37,7 +33,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -97,65 +92,16 @@ func main() {
 // server. Returns the process exit code.
 func stats(admin string, timeout time.Duration) int {
 	client := &http.Client{Timeout: timeout}
-	var dump strings.Builder
-	if err := fetch(client, "http://"+admin+"/metrics", io.MultiWriter(os.Stdout, &dump)); err != nil {
+	if err := fetch(client, "http://"+admin+"/metrics", os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "avctl: metrics:", err)
 		return 1
 	}
-	epochSummary(os.Stdout, dump.String())
 	fmt.Println("\n# recent traces")
 	if err := fetch(client, "http://"+admin+"/trace/recent?format=text&n=50", os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "avctl: traces:", err)
 		return 1
 	}
 	return 0
-}
-
-// epochSummary digests the raw epoch_* gauges from a /metrics dump into
-// a few human-readable lines. Quiet when the node runs without -epoch
-// (every epoch counter zero or absent).
-func epochSummary(w io.Writer, dump string) {
-	m := make(map[string]int64)
-	for _, line := range strings.Split(dump, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 2 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		if v, err := strconv.ParseInt(fields[1], 10, 64); err == nil {
-			m[fields[0]] = v
-		}
-	}
-	closed, commits := m["epoch_closed_total"], m["epoch_commits_total"]
-	if closed == 0 && commits == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n# epoch commit pipeline (derived)\n")
-	fmt.Fprintf(w, "epoch current %d, durable %d (lag %d)\n",
-		m["epoch_current"], m["epoch_durable"], m["epoch_current"]-m["epoch_durable"])
-	perEpoch := 0.0
-	if closed > 0 {
-		perEpoch = float64(commits) / float64(closed)
-	}
-	fmt.Fprintf(w, "closed %d epochs covering %d commits: %.1f commits per fsync, %d early closes\n",
-		closed, commits, perEpoch, m["epoch_early_closes_total"])
-	if count, ok := m["epoch_ack_wait_count"]; ok && count > 0 {
-		fmt.Fprintf(w, "ack wait p50 %v, p99 %v, max %v\n",
-			time.Duration(m["epoch_ack_wait_p50_ns"]),
-			time.Duration(m["epoch_ack_wait_p99_ns"]),
-			time.Duration(m["epoch_ack_wait_max_ns"]))
-	}
-	if x := m["twopc_cross_epoch_commits"]; x > 0 {
-		fmt.Fprintf(w, "cross-epoch 2PC commits %d (ack durable-epoch ran ahead of every vote epoch)\n", x)
-	}
-	if x := m["twopc_pipelined_commits"]; x > 0 {
-		fmt.Fprintf(w, "pipelined 2PC commits %d (next round prepared while a prior fsync drained)\n", x)
-	}
-	// Adaptive interval controller state: only meaningful once the
-	// controller has moved the interval at least once.
-	if widens, collapses := m["epoch_widens_total"], m["epoch_collapses_total"]; widens > 0 || collapses > 0 {
-		fmt.Fprintf(w, "adaptive interval %v (widened %d, collapsed %d)\n",
-			time.Duration(m["epoch_interval_current_us"])*time.Microsecond, widens, collapses)
-	}
 }
 
 // watch streams one read-plane model (stock, global, or hot) from the

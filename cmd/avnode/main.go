@@ -33,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"avdb/internal/epoch"
 	"avdb/internal/failure"
 	"avdb/internal/metrics"
 	"avdb/internal/obs"
@@ -70,13 +69,6 @@ func main() {
 		readPlane    = flag.Bool("readplane", true, "materialize read models and serve /read/* on the admin server")
 		readTopK     = flag.Int("read-topk", 0, "hot-key view size (0 = default)")
 		retransmitMS = flag.Int("retransmit-ms", 0, "inter-site RPC retransmission interval in milliseconds (0 = off; receivers dedup)")
-		syncDelayUS  = flag.Int("wal-sync-delay-us", 0, "group-commit leader stall in microseconds to widen fsync batches (0 = commit immediately)")
-		epochOn      = flag.Bool("epoch", false, "acknowledge durable commits at epoch boundaries (one fsync per epoch) instead of per group-commit round")
-		epochUS      = flag.Int("epoch-interval-us", 200, "epoch length in microseconds (with -epoch)")
-		epochMax     = flag.Int("epoch-max-commits", 0, "close an epoch early once it holds this many commits (0 = default, negative = never)")
-		epochAdapt   = flag.Bool("epoch-adaptive", false, "adapt the epoch interval to load: widen when epochs fill early, collapse toward the floor when they close near-empty (with -epoch)")
-		epochMinUS   = flag.Int("epoch-min-interval-us", 0, "adaptive epoch interval floor in microseconds (0 = interval/4; with -epoch-adaptive)")
-		epochMaxUS   = flag.Int("epoch-max-interval-us", 0, "adaptive epoch interval ceiling in microseconds (0 = interval*8; with -epoch-adaptive)")
 		partitions   = flag.Int("partitions", 0, "shard the catalog over this many partitions (0 = legacy full replication; identical on every node)")
 		rf           = flag.Int("rf", 2, "replicas per partition (with -partitions; capped at the cluster size)")
 	)
@@ -112,17 +104,11 @@ func main() {
 	// WAL and the AV journal; the histograms (which retain samples) are
 	// attached only when the admin server will actually serve them.
 	walStats := &wal.Stats{}
-	// epochStats aggregates epoch-pipeline counters across the storage
-	// engine and the AV journal (both share one manager configuration).
-	epochStats := &epoch.Stats{}
 	if *admin != "" {
 		tracer = trace.New(*traceBuf)
 		updateLatency = metrics.NewHistogram()
 		walStats.GroupSize = metrics.NewHistogram()
 		walStats.SyncWait = metrics.NewHistogram()
-		epochStats.CommitsPerEpoch = metrics.NewHistogram()
-		epochStats.CloseLatency = metrics.NewHistogram()
-		epochStats.AckWait = metrics.NewHistogram()
 	}
 
 	network := &tcpnet.Network{Cfg: tcpnet.Config{
@@ -153,15 +139,7 @@ func main() {
 		EscrowTransfers:   *escrow,
 		ReadPlane:         *readPlane,
 		ReadPlaneTopK:     *readTopK,
-		WALMaxSyncDelay:   time.Duration(*syncDelayUS) * time.Microsecond,
 		WALStats:          walStats,
-		EpochInterval:     epochInterval(*epochOn, *epochUS),
-		EpochMaxCommits:   *epochMax,
-		EpochAdaptive:     *epochAdapt,
-		EpochMinInterval:  time.Duration(*epochMinUS) * time.Microsecond,
-		EpochMaxInterval:  time.Duration(*epochMaxUS) * time.Microsecond,
-		EpochAlignFlush:   *epochOn,
-		EpochStats:        epochStats,
 		Partitions:        pm,
 	}, network)
 	if err != nil {
@@ -191,30 +169,6 @@ func main() {
 		srv.RegisterCounter("wal_records_synced_total", walStats.RecordsSynced.Load)
 		srv.RegisterSizeHistogram("wal_group_commit_size", walStats.GroupSize)
 		srv.RegisterHistogram("wal_sync_wait", walStats.SyncWait)
-		// Epoch-pipeline counters (all zero unless -epoch): one fsync per
-		// closed epoch, so epoch_commits_total / epoch_closed_total is the
-		// live amortization factor.
-		if em := s.Epochs(); em != nil {
-			srv.RegisterCounter("epoch_current", func() int64 { return int64(em.Current()) })
-			srv.RegisterCounter("epoch_durable", func() int64 { return int64(em.Durable()) })
-			// With -epoch-adaptive this moves between the min/max clamps;
-			// otherwise it sits at -epoch-interval-us.
-			srv.RegisterCounter("epoch_interval_current_us", func() int64 { return em.Interval().Microseconds() })
-		}
-		srv.RegisterCounter("epoch_closed_total", epochStats.Epochs.Load)
-		srv.RegisterCounter("epoch_commits_total", epochStats.Commits.Load)
-		srv.RegisterCounter("epoch_early_closes_total", epochStats.EarlyCloses.Load)
-		srv.RegisterCounter("epoch_widens_total", epochStats.Widens.Load)
-		srv.RegisterCounter("epoch_collapses_total", epochStats.Collapses.Load)
-		srv.RegisterCounter("twopc_cross_epoch_commits", s.TwoPC().Stats().CrossEpochCommits.Load)
-		srv.RegisterCounter("twopc_pipelined_commits", s.TwoPC().Stats().PipelinedCommits.Load)
-		// Attached before any coordinator traffic exists; the engine only
-		// ever reads this field.
-		s.TwoPC().Stats().OverlapDepth = metrics.NewHistogram()
-		srv.RegisterSizeHistogram("twopc_overlap_depth", s.TwoPC().Stats().OverlapDepth)
-		srv.RegisterSizeHistogram("epoch_commits_per_epoch", epochStats.CommitsPerEpoch)
-		srv.RegisterHistogram("epoch_close_latency", epochStats.CloseLatency)
-		srv.RegisterHistogram("epoch_ack_wait", epochStats.AckWait)
 		// Read-plane counters and the /read/* endpoints: how far the
 		// materialized models trail the engine and how read traffic splits
 		// across them.
@@ -308,15 +262,6 @@ func partitionsHandler(s *site.Site) http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(&reply) //nolint:errcheck // best-effort HTTP write
 	})
-}
-
-// epochInterval maps the -epoch/-epoch-interval-us flag pair onto the
-// site config: zero keeps the per-commit group-commit pipeline.
-func epochInterval(on bool, us int) time.Duration {
-	if !on {
-		return 0
-	}
-	return time.Duration(us) * time.Microsecond
 }
 
 // parsePeers turns "1=h:p,2=h:p" into the peer list and address map.

@@ -29,11 +29,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"avdb/internal/av"
-	"avdb/internal/clock"
-	"avdb/internal/epoch"
 	"avdb/internal/wal"
 )
 
@@ -75,29 +72,8 @@ type Options struct {
 	NoSync bool
 	// SegmentMaxBytes passes through to the journal's WAL.
 	SegmentMaxBytes int64
-	// MaxSyncDelay passes through to the journal's WAL group commit.
-	MaxSyncDelay time.Duration
 	// Stats passes through to the journal's WAL (shared fsync counters).
 	Stats *wal.Stats
-	// EpochInterval, when positive, rides durable acknowledgements on
-	// epoch boundaries instead of per-op group commits: one covering
-	// fsync per epoch. Record contents and append order are unchanged,
-	// so the escrow discipline (decreases journal-before-ack) survives.
-	EpochInterval time.Duration
-	// EpochMaxCommits closes an epoch early at this many commits
-	// (0 means epoch.DefaultMaxCommits; negative disables).
-	EpochMaxCommits int
-	// EpochAdaptive turns on the epoch manager's adaptive interval
-	// controller; EpochMinInterval/EpochMaxInterval clamp it (see
-	// epoch.Options).
-	EpochAdaptive    bool
-	EpochMinInterval time.Duration
-	EpochMaxInterval time.Duration
-	// Clock drives epoch deadlines (nil means the real clock).
-	Clock clock.Clock
-	// EpochStats, when non-nil, receives epoch counters (shareable with
-	// the storage engine's manager).
-	EpochStats *epoch.Stats
 }
 
 // Store is a durable AV table. It implements core.AVTable.
@@ -115,8 +91,7 @@ type Store struct {
 	mu      sync.Mutex // serializes journal append + table apply pairs
 	tbl     *av.Table
 	journal *wal.Log
-	epochs  *epoch.Manager // nil unless EpochInterval > 0
-	enc     []byte         // scratch encode buffer for journal records; guarded by mu
+	enc     []byte // scratch encode buffer for journal records; guarded by mu
 
 	ckptMu sync.Mutex // serializes whole checkpoints (snapshot + truncate)
 }
@@ -160,7 +135,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	j, err := wal.Open(filepath.Join(dir, "journal"), wal.Options{
 		NoSync:          opts.NoSync,
 		SegmentMaxBytes: opts.SegmentMaxBytes,
-		MaxSyncDelay:    opts.MaxSyncDelay,
 		Stats:           opts.Stats,
 	})
 	if err != nil {
@@ -174,56 +148,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		j.Close()
 		return nil, err
 	}
-	if opts.EpochInterval > 0 {
-		s.epochs = epoch.New(epoch.Options{
-			Interval:    opts.EpochInterval,
-			MaxCommits:  opts.EpochMaxCommits,
-			Clock:       opts.Clock,
-			Sync:        j.SyncTo,
-			Stats:       opts.EpochStats,
-			Adaptive:    opts.EpochAdaptive,
-			MinInterval: opts.EpochMinInterval,
-			MaxInterval: opts.EpochMaxInterval,
-		})
-	}
 	return s, nil
-}
-
-// Epochs returns the store's epoch manager, nil when epoch commit is
-// off.
-func (s *Store) Epochs() *epoch.Manager { return s.epochs }
-
-// syncTo is the durable-ack wait every journal-backed operation ends
-// with: ride the open epoch when epoch commit is on, otherwise join the
-// per-op group commit. Called after s.mu is released. Checkpoint does
-// NOT use it — a truncation boundary must not wait out an open epoch's
-// interval, and its direct SyncTo is correct either way.
-func (s *Store) syncTo(lsn uint64) error {
-	if s.epochs != nil {
-		_, err := s.epochs.Commit(lsn)
-		return err
-	}
-	return s.journal.SyncTo(lsn)
-}
-
-// syncToAsync is syncTo's pipelined form: it registers the wait (riding
-// the open epoch when epoch commit is on) and returns a function that
-// blocks until lsn is durable. The caller withholds the operation's
-// acknowledgement until that wait resolves, but may keep issuing ops —
-// filling the next epoch while the previous one's covering fsync
-// drains.
-func (s *Store) syncToAsync(lsn uint64) func() error {
-	if s.epochs != nil {
-		t, err := s.epochs.Enqueue(lsn)
-		if err != nil {
-			return func() error { return err }
-		}
-		return func() error {
-			_, werr := t.Wait()
-			return werr
-		}
-	}
-	return func() error { return s.journal.SyncTo(lsn) }
 }
 
 // applyRecord replays one journal record into the table.
@@ -335,7 +260,7 @@ func (s *Store) Define(key string, initial int64) error {
 	if err != nil {
 		return err
 	}
-	return s.syncTo(lsn)
+	return s.journal.SyncTo(lsn)
 }
 
 // Credit adds fresh available volume durably (an increment's slack or a
@@ -352,7 +277,7 @@ func (s *Store) Credit(key string, n int64) error {
 	if err != nil {
 		return err
 	}
-	return s.syncTo(lsn)
+	return s.journal.SyncTo(lsn)
 }
 
 // Consume destroys n held units durably. The journal record precedes
@@ -371,26 +296,7 @@ func (s *Store) Consume(key string, n int64) error {
 	if err != nil {
 		return err
 	}
-	return s.syncTo(lsn)
-}
-
-// ConsumeAsync is Consume's pipelined form: the journal append and
-// table change happen before it returns (same order, same records —
-// the escrow discipline is untouched), but the durable-ack wait is
-// returned as a function instead of blocked on inline. The caller must
-// not acknowledge the consumption until the wait resolves; until then
-// a crash loses only unacked slack, exactly as with Consume.
-func (s *Store) ConsumeAsync(key string, n int64) (wait func() error, err error) {
-	s.mu.Lock()
-	lsn, err := s.appendLocked(opSpend, key, n)
-	if err == nil {
-		err = s.tbl.Consume(key, n)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return s.syncToAsync(lsn), nil
+	return s.journal.SyncTo(lsn)
 }
 
 // Debit removes up to n available units for an outbound transfer,
@@ -415,7 +321,7 @@ func (s *Store) Debit(key string, n int64) (int64, error) {
 		return 0, err
 	}
 	s.mu.Unlock()
-	if err := s.syncTo(lsn); err != nil {
+	if err := s.journal.SyncTo(lsn); err != nil {
 		return 0, err
 	}
 	return taken, nil
@@ -440,7 +346,7 @@ func (s *Store) EscrowDebit(key string, xfer uint64, n int64) (int64, error) {
 		return 0, err
 	}
 	s.mu.Unlock()
-	if err := s.syncTo(lsn); err != nil {
+	if err := s.journal.SyncTo(lsn); err != nil {
 		return 0, err
 	}
 	return taken, nil
@@ -472,7 +378,7 @@ func (s *Store) ResolveEscrow(xfer uint64, refund bool) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := s.syncTo(lsn); err != nil {
+	if err := s.journal.SyncTo(lsn); err != nil {
 		return 0, err
 	}
 	return refunded, nil
@@ -503,7 +409,7 @@ func (s *Store) AddObligation(ob av.Obligation) error {
 	if err != nil {
 		return err
 	}
-	return s.syncTo(lsn)
+	return s.journal.SyncTo(lsn)
 }
 
 // CompleteObligation durably discharges the obligation for xfer.
@@ -517,7 +423,7 @@ func (s *Store) CompleteObligation(xfer uint64) error {
 	if err != nil {
 		return err
 	}
-	return s.syncTo(lsn)
+	return s.journal.SyncTo(lsn)
 }
 
 // Obligations returns the outstanding obligations.
@@ -561,7 +467,7 @@ func (s *Store) CreditHeld(key string, n int64) error {
 	if err != nil {
 		return err
 	}
-	return s.syncTo(lsn)
+	return s.journal.SyncTo(lsn)
 }
 
 // Release implements core.AVTable (volatile reservation).
@@ -780,18 +686,9 @@ func decodeSnapshot(data []byte) (uint64, map[string]int64, []av.Escrow, []av.Ob
 	return boundary, balances, escrows, obls, nil
 }
 
-// Close syncs and closes the journal. The epoch manager (if any) is
-// flushed first so no committer is left waiting on a boundary whose
-// journal has gone away.
+// Close syncs and closes the journal.
 func (s *Store) Close() error {
-	var err error
-	if s.epochs != nil {
-		err = s.epochs.Close()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cerr := s.journal.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return s.journal.Close()
 }

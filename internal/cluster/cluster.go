@@ -73,15 +73,6 @@ type Config struct {
 	// restarted from its WAL (RestartSite). Durable sites run with fsync
 	// off — the chaos scenarios model process crashes, not disk loss.
 	Dir string
-	// EpochInterval, when positive on a durable cluster, turns on
-	// epoch-based commit on every site (see site.Config.EpochInterval).
-	EpochInterval time.Duration
-	// EpochMaxCommits caps commits per epoch (see site.Config).
-	EpochMaxCommits int
-	// EpochAdaptive turns on the adaptive interval controller, clamped
-	// to [EpochMinInterval, EpochMaxInterval] (see site.Config).
-	EpochAdaptive                      bool
-	EpochMinInterval, EpochMaxInterval time.Duration
 	// Interceptor, when non-nil, is consulted for every message on the
 	// in-process network — the seam chaos.Injector plugs into.
 	Interceptor transport.Interceptor
@@ -360,11 +351,6 @@ func (c *Cluster) siteConfig(id int) site.Config {
 		sc.StorageDir = filepath.Join(cfg.Dir, fmt.Sprintf("site-%d", id))
 		sc.PersistAV = true
 		sc.NoSync = true
-		sc.EpochInterval = cfg.EpochInterval
-		sc.EpochMaxCommits = cfg.EpochMaxCommits
-		sc.EpochAdaptive = cfg.EpochAdaptive
-		sc.EpochMinInterval = cfg.EpochMinInterval
-		sc.EpochMaxInterval = cfg.EpochMaxInterval
 	}
 	return sc
 }

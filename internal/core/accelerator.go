@@ -330,9 +330,7 @@ func (a *Accelerator) delayUpdate(ctx context.Context, key string, delta int64) 
 	// is — so many concurrent zero-communication decrements share fsyncs
 	// instead of paying one each, and nothing observable (the caller's
 	// return, the surplus release) happens before the covering LSN is
-	// stable. With epoch commit on, both waits ride epoch boundaries
-	// instead — same durable-before-observable rule, one covering fsync
-	// per epoch rather than per group.
+	// stable.
 	if err := a.applyLocal(ctx, key, delta); err != nil {
 		a.avt.Release(key, got)
 		return Result{}, err

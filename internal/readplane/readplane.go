@@ -24,10 +24,7 @@
 // snapshot has applied the token's LSN. Because the watermark is
 // monotonic, satisfied tokens also give monotonic reads. The write
 // path is untouched: tokens are minted from the engine's LSN cursor
-// the commit already produced. Epoch commit changes none of this:
-// epochs batch acknowledgements, not LSNs, so the durable LSN sequence
-// stays dense and a token minted from an epoch-released commit is
-// satisfiable exactly as before.
+// the commit already produced.
 //
 // The applier is resilient to its feed: events may arrive out of LSN
 // order (batches on disjoint stripes race to publish), so it parks

@@ -76,13 +76,6 @@ type Replicator struct {
 	peerHosts  func(peer wire.SiteID, key string) bool
 	localHosts func(key string) bool
 
-	// Epoch-aligned flushing (see AlignToEpochs/Fence). When fenceOn,
-	// outbound windows stop at fenceSeq — the log top snapshotted at the
-	// last durable epoch boundary — so every delta a flush ships is
-	// covered by an already-issued epoch fsync, never racing one.
-	fenceOn  bool
-	fenceSeq uint64
-
 	// Per-peer flush control (see SetFlushPolicy). Guarded by fmu, not
 	// mu: Flush consults it while the log lock is free.
 	fmu          sync.Mutex
@@ -208,7 +201,9 @@ func (r *Replicator) NextSeq() uint64 {
 // and returns the entry's sequence. For volatile replicators the commit
 // and the in-memory log append simply happen back to back; for durable
 // ones the log row is part of the committed batch, so a crash can never
-// separate the update from its replication record.
+// separate the update from its replication record. The durable path
+// holds r.mu across the commit's durability wait, so a flush never
+// ships an entry whose record is not yet durable.
 func (r *Replicator) CommitWithRecord(tx *txn.Txn, key string, delta int64) (uint64, error) {
 	if !r.durable {
 		if err := tx.Commit(); err != nil {
@@ -295,44 +290,6 @@ func (r *Replicator) flushOutcome(peer wire.SiteID, ok bool) {
 	fb.until = r.flushClock.Now().Add(r.flushPolicy.Backoff(fb.failures))
 }
 
-// AlignToEpochs turns on epoch-aligned flushing: outbound delta windows
-// are capped at the fence last snapshotted by Fence instead of the live
-// log top. The site arranges for Fence to run each time the durable
-// epoch watermark advances (epoch.Options.OnDurable), so one covering
-// fsync pays for both the epoch's commit acks and the replication
-// window those commits ride out in — the flush never snapshots a window
-// mid-epoch. Entries beyond the fence simply wait for the next epoch
-// close; with epochs off this must stay off (windows would wedge).
-func (r *Replicator) AlignToEpochs() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.fenceOn = true
-	r.fenceSeq = r.firstSeq + uint64(len(r.log)) - 1
-}
-
-// Fence snapshots the current log top as the outbound window cap.
-// Called from the epoch manager's OnDurable hook: everything in the log
-// right now was committed — and therefore journaled — no later than the
-// epoch that just became durable.
-func (r *Replicator) Fence() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if top := r.firstSeq + uint64(len(r.log)) - 1; top > r.fenceSeq {
-		r.fenceSeq = top
-	}
-}
-
-// windowTopLocked returns the highest sequence an outbound window may
-// cover: the log top, capped at the epoch fence when aligned flushing
-// is on. Caller holds r.mu.
-func (r *Replicator) windowTopLocked() uint64 {
-	top := r.firstSeq + uint64(len(r.log)) - 1
-	if r.fenceOn && r.fenceSeq < top {
-		top = r.fenceSeq
-	}
-	return top
-}
-
 // PendingFor returns the deltas peer has not acknowledged yet.
 func (r *Replicator) PendingFor(peer wire.SiteID) []wire.Delta {
 	r.mu.Lock()
@@ -373,7 +330,7 @@ func (r *Replicator) PendingSyncFor(peer wire.SiteID) *wire.DeltaSync {
 		// cannot happen through Compact, which respects all acks.
 		from = r.firstSeq
 	}
-	top := r.windowTopLocked()
+	top := r.firstSeq + uint64(len(r.log)) - 1
 	if from > top {
 		return nil
 	}

@@ -51,16 +51,6 @@ type Config struct {
 	Dir string
 	// EventCap bounds each site's event ring (default 1<<14).
 	EventCap int
-	// Epochs forces epoch-based commit on at every site (2ms virtual
-	// interval), so the invariant oracles exercise acknowledgements that
-	// ride epoch boundaries. Off (the default) is byte-identical to
-	// pre-epoch builds: same trace hashes for the same seed.
-	Epochs bool
-	// EpochsAdaptive additionally turns on the adaptive interval
-	// controller (clamped to [1ms, 8ms] on the virtual clock), so every
-	// oracle also runs while the epoch interval widens and collapses.
-	// Implies Epochs.
-	EpochsAdaptive bool
 	// Partitions, when > 0, shards the cluster's key space over that
 	// many virtual partitions with replication factor RF (see
 	// cluster.Config). The oracles then check per partition: each key
@@ -280,13 +270,6 @@ func Run(cfg Config) (Result, error) {
 		h.logs[i] = eventlog.New(cfg.EventCap)
 		h.logs[i].SetNow(h.clk.Now)
 	}
-	var epochInterval time.Duration
-	if cfg.Epochs || cfg.EpochsAdaptive {
-		// Coarse on the virtual clock: driver ops block on the epoch
-		// boundary, so only the timer can close it and the schedule stays
-		// deterministic.
-		epochInterval = 2 * time.Millisecond
-	}
 	ccfg := cluster.Config{
 		Sites:              cfg.Sites,
 		Items:              cfg.Items,
@@ -296,10 +279,6 @@ func Run(cfg Config) (Result, error) {
 		Dir:                dir,
 		Partitions:         cfg.Partitions,
 		RF:                 cfg.RF,
-		EpochInterval:      epochInterval,
-		EpochAdaptive:      cfg.EpochsAdaptive,
-		EpochMinInterval:   time.Millisecond,
-		EpochMaxInterval:   8 * time.Millisecond,
 		Clock:              h.clk,
 		Interceptor:        h.inj,
 		EventsFor:          func(i int) *eventlog.Log { return h.logs[i] },
@@ -323,42 +302,13 @@ func Run(cfg Config) (Result, error) {
 		// Ground-truth accounting at the applying site (see Config).
 		ccfg.UpdateObserver = h.addExpected
 	}
-	c, err := h.buildCluster(ccfg)
+	c, err := cluster.New(ccfg)
 	if err != nil {
 		return Result{}, err
 	}
 	defer c.Close()
 	h.c = c
 	return h.run(steps)
-}
-
-// buildCluster runs cluster.New while driving the virtual clock: with
-// epoch commit on, seeding blocks on epoch boundaries before the
-// settle/advance scheduler exists, so someone must fire the epoch
-// timers. Setup is a single goroutine committing serially, so each
-// blocked op arms exactly one timer and the advance count (hence the
-// virtual timeline) is deterministic. With epochs off no timer is ever
-// pending and the clock never moves — byte-identical to pre-epoch runs.
-func (h *harness) buildCluster(ccfg cluster.Config) (*cluster.Cluster, error) {
-	type built struct {
-		c   *cluster.Cluster
-		err error
-	}
-	done := make(chan built, 1)
-	go func() {
-		c, err := cluster.New(ccfg)
-		done <- built{c, err}
-	}()
-	for {
-		select {
-		case b := <-done:
-			return b.c, b.err
-		default:
-			if _, ok := h.clk.AdvanceToNext(); !ok {
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}
 }
 
 func (h *harness) run(steps []chaos.Step) (Result, error) {
@@ -384,8 +334,7 @@ func (h *harness) run(steps []chaos.Step) (Result, error) {
 		if cfg.MintAt > 0 && tick == cfg.MintAt && len(c.RegularKeys) > 0 {
 			ms := cfg.MintSite % cfg.Sites
 			if !c.SiteDown(ms) {
-				// Under the scheduler: the durable Define may block on an
-				// epoch boundary only a timer can close.
+				// Under the scheduler, like every other driver op.
 				var merr error
 				if err := h.step(func() { merr = c.Sites[ms].DefineAV(c.RegularKeys[0], cfg.MintAmount) }); err != nil {
 					return res, err
@@ -513,17 +462,17 @@ func (h *harness) quiesce(ctx context.Context) error {
 	return nil
 }
 
-// settle waits for the network to reach its fixpoint. With epochs off
-// and no partitioning that is full quiescence (no message in flight,
-// no handler running — the blocking Settle). With epochs on, a handler
-// may park on an epoch boundary that only a virtual-clock advance can
-// close; with partitioning on, a routed update runs its whole update
-// path inside a handler, so the handler can park on a 2PC or transfer
-// deadline the same way. Either way full settle is unreachable, so the
-// fixpoint is an activity level that holds still: every deliverable
-// message delivered, every handler either finished or timer-parked.
+// settle waits for the network to reach its fixpoint. Without
+// partitioning that is full quiescence (no message in flight, no
+// handler running — the blocking Settle). With partitioning on, a
+// routed update runs its whole update path inside a handler, so the
+// handler can park on a 2PC or transfer deadline that only a
+// virtual-clock advance can pass. Full settle is then unreachable, so
+// the fixpoint is an activity level that holds still: every
+// deliverable message delivered, every handler either finished or
+// timer-parked.
 func (h *harness) settle() {
-	if !h.cfg.Epochs && !h.cfg.EpochsAdaptive && h.cfg.Partitions == 0 {
+	if h.cfg.Partitions == 0 {
 		h.c.Net.Settle()
 		return
 	}

@@ -88,97 +88,6 @@ func TestSimMintBugCaught(t *testing.T) {
 	}
 }
 
-// TestSimEpochsHealthy forces epoch-based commit on and expects the
-// same oracles (no-mint, atomicity, convergence, read-plane/RYW) to
-// hold: epochs batch acknowledgements, not effects, so no invariant may
-// move.
-func TestSimEpochsHealthy(t *testing.T) {
-	res, err := Run(Config{Seed: 1, Ticks: 60, Epochs: true, Script: []chaos.Step{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation != nil {
-		t.Fatalf("epoch-mode fault-free run violated an invariant: %v", res.Violation)
-	}
-	if res.Commits == 0 {
-		t.Fatal("epoch-mode run committed nothing")
-	}
-}
-
-// TestSimEpochsBitReproducible requires the virtual-clock epoch timers
-// to schedule deterministically: same seed, same trace hash, with
-// epochs on and faults injected.
-func TestSimEpochsBitReproducible(t *testing.T) {
-	cfg := Config{Seed: 7, Ticks: 120, Epochs: true}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TraceHash != b.TraceHash {
-		t.Errorf("epoch-mode trace hash diverged: %#x vs %#x", a.TraceHash, b.TraceHash)
-	}
-	if a.Violation != nil {
-		t.Errorf("unexpected violation: %v", a.Violation)
-	}
-}
-
-// TestSimEpochsAdaptiveHealthy runs the adaptive interval controller
-// under the full oracle suite: the controller moves only *when* acks
-// release, never what is journaled, so every invariant must still hold
-// while the interval widens and collapses.
-func TestSimEpochsAdaptiveHealthy(t *testing.T) {
-	res, err := Run(Config{Seed: 1, Ticks: 60, EpochsAdaptive: true, Script: []chaos.Step{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation != nil {
-		t.Fatalf("adaptive epoch-mode fault-free run violated an invariant: %v", res.Violation)
-	}
-	if res.Commits == 0 {
-		t.Fatal("adaptive epoch-mode run committed nothing")
-	}
-}
-
-// TestSimEpochsAdaptiveBitReproducible pins the adaptive controller to
-// the virtual clock: interval adjustments derive only from per-epoch
-// commit counts, so the schedule — and the trace hash — must reproduce.
-func TestSimEpochsAdaptiveBitReproducible(t *testing.T) {
-	cfg := Config{Seed: 7, Ticks: 120, EpochsAdaptive: true}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TraceHash != b.TraceHash {
-		t.Errorf("adaptive epoch-mode trace hash diverged: %#x vs %#x", a.TraceHash, b.TraceHash)
-	}
-	if a.Violation != nil {
-		t.Errorf("unexpected violation: %v", a.Violation)
-	}
-}
-
-// TestSimEpochsSweepSmall sweeps a few seeds with epochs forced on.
-func TestSimEpochsSweepSmall(t *testing.T) {
-	n := 4
-	if testing.Short() {
-		n = 2
-	}
-	failures, err := Sweep(Config{Ticks: 60, Epochs: true}, 100, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range failures {
-		t.Errorf("epoch mode seed %d: %v\n%s", f.Seed, f.Violation, f.Report)
-	}
-}
-
 // TestSimSweepSmall sweeps a handful of seeds end to end.
 func TestSimSweepSmall(t *testing.T) {
 	n := 4
@@ -213,15 +122,13 @@ func TestSimSeedSweepNightly(t *testing.T) {
 		}
 		start = v
 	}
-	// Sweep both commit pipelines plus the sharded configuration under
-	// the same seeds and oracles.
+	// Sweep the full-replication and sharded configurations under the
+	// same seeds and oracles.
 	for _, mode := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"group-commit", Config{}},
-		{"epochs", Config{Epochs: true}},
-		{"epochs-adaptive", Config{EpochsAdaptive: true}},
 		{"sharded", Config{Sites: 6, Items: 12, Partitions: 16, RF: 2}},
 	} {
 		failures, err := Sweep(mode.cfg, start, n, os.Stderr)

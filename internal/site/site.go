@@ -18,7 +18,6 @@ import (
 	"avdb/internal/avstore"
 	"avdb/internal/clock"
 	"avdb/internal/core"
-	"avdb/internal/epoch"
 	"avdb/internal/eventlog"
 	"avdb/internal/failure"
 	"avdb/internal/lockmgr"
@@ -48,41 +47,10 @@ type Config struct {
 	PersistAV bool
 	// NoSync disables WAL fsync (experiments).
 	NoSync bool
-	// WALMaxSyncDelay stalls each WAL group-commit leader to widen fsync
-	// batches (0 = commit immediately; batching then comes only from
-	// concurrency). Applies to both the storage WAL and the AV journal.
-	WALMaxSyncDelay time.Duration
 	// WALStats, when non-nil, aggregates fsync/group-commit counters
 	// across the storage WAL and the AV journal (exported on /metrics by
 	// avnode when the admin server is enabled).
 	WALStats *wal.Stats
-	// EpochInterval, when positive on a durable site, turns on
-	// epoch-based commit: acknowledgements (storage Apply and AV journal
-	// ops) ride epoch boundaries, one covering fsync per epoch, instead
-	// of per-commit group commits. Zero keeps the per-commit path and
-	// leaves outputs byte-identical to pre-epoch builds.
-	EpochInterval time.Duration
-	// EpochMaxCommits closes an epoch early at this many commits
-	// (0 means epoch.DefaultMaxCommits; negative disables).
-	EpochMaxCommits int
-	// EpochAdaptive turns on the adaptive interval controller in both
-	// epoch managers: the interval widens under load and collapses when
-	// idle, clamped to [EpochMinInterval, EpochMaxInterval] (see
-	// epoch.Options). Requires EpochInterval > 0.
-	EpochAdaptive    bool
-	EpochMinInterval time.Duration
-	EpochMaxInterval time.Duration
-	// EpochAlignFlush aligns replication flushes to epoch boundaries:
-	// outbound delta windows are snapshotted when the durable epoch
-	// advances (the epoch's covering fsync already made every entry in
-	// the window durable) and the flush loop is kicked right after each
-	// close, so one fsync covers both the ack batch and the replication
-	// watermark advance. Requires EpochInterval > 0; off keeps flushing
-	// on its own timer, windows uncapped.
-	EpochAlignFlush bool
-	// EpochStats, when non-nil, aggregates epoch counters across the
-	// storage engine's and AV journal's managers.
-	EpochStats *epoch.Stats
 	// Policy is the AV selecting/deciding policy (default SODA99).
 	Policy strategy.Policy
 	// Passes bounds AV gathering passes per update.
@@ -194,11 +162,6 @@ type Site struct {
 	routeMisroutes atomic.Uint64
 	routeRefreshes atomic.Uint64
 
-	// flushKick, non-nil when EpochAlignFlush is on, wakes the flush
-	// loop right after each durable-epoch advance (capacity 1; a
-	// pending kick absorbs further closes).
-	flushKick chan struct{}
-
 	stop      chan struct{}
 	closeOnce sync.Once
 	closeErr  error
@@ -217,36 +180,11 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 		cfg:  cfg,
 		stop: make(chan struct{}),
 	}
-	stOpts := storage.Options{
-		Dir:              cfg.StorageDir,
-		NoSync:           cfg.NoSync,
-		MaxSyncDelay:     cfg.WALMaxSyncDelay,
-		Stats:            cfg.WALStats,
-		EpochInterval:    cfg.EpochInterval,
-		EpochMaxCommits:  cfg.EpochMaxCommits,
-		EpochAdaptive:    cfg.EpochAdaptive,
-		EpochMinInterval: cfg.EpochMinInterval,
-		EpochMaxInterval: cfg.EpochMaxInterval,
-		Clock:            cfg.Clock,
-		EpochStats:       cfg.EpochStats,
-	}
-	if cfg.EpochAlignFlush && cfg.EpochInterval > 0 && cfg.StorageDir != "" {
-		// Epoch-aligned replication: each durable-epoch advance snapshots
-		// the outbound window fence and kicks the flush loop. The hook
-		// cannot fire before Open returns (the first epoch needs a
-		// commit), so reading s.repl here is safe.
-		s.flushKick = make(chan struct{}, 1)
-		stOpts.EpochOnDurable = func(uint64) {
-			if r := s.repl; r != nil {
-				r.Fence()
-			}
-			select {
-			case s.flushKick <- struct{}{}:
-			default: // a kick is already pending
-			}
-		}
-	}
-	eng, err := storage.Open(stOpts)
+	eng, err := storage.Open(storage.Options{
+		Dir:    cfg.StorageDir,
+		NoSync: cfg.NoSync,
+		Stats:  cfg.WALStats,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -260,16 +198,8 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 			return nil, fmt.Errorf("site: PersistAV requires StorageDir")
 		}
 		avs, err := avstore.Open(filepath.Join(cfg.StorageDir, "av"), avstore.Options{
-			NoSync:           cfg.NoSync,
-			MaxSyncDelay:     cfg.WALMaxSyncDelay,
-			Stats:            cfg.WALStats,
-			EpochInterval:    cfg.EpochInterval,
-			EpochMaxCommits:  cfg.EpochMaxCommits,
-			EpochAdaptive:    cfg.EpochAdaptive,
-			EpochMinInterval: cfg.EpochMinInterval,
-			EpochMaxInterval: cfg.EpochMaxInterval,
-			Clock:            cfg.Clock,
-			EpochStats:       cfg.EpochStats,
+			NoSync: cfg.NoSync,
+			Stats:  cfg.WALStats,
 		})
 		if err != nil {
 			eng.Close()
@@ -289,7 +219,6 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 		Clock:          cfg.Clock,
 		Observer:       cfg.TxnObserver,
 		IDEpoch:        cfg.TxnIDEpoch,
-		Epochs:         eng.Epochs(),
 	}
 	if cfg.Partitions != nil {
 		// Sharded mode: each key's primary is its partition owner, not
@@ -315,9 +244,6 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 	}
 	if cfg.FlushPeerTimeout > 0 || cfg.FlushBackoff.BaseDelay > 0 {
 		s.repl.SetFlushPolicy(cfg.FlushPeerTimeout, cfg.FlushBackoff, cfg.Clock)
-	}
-	if s.flushKick != nil {
-		s.repl.AlignToEpochs()
 	}
 	if cfg.Partitions != nil {
 		// Partial replication: deltas flow only to sites hosting the
@@ -495,11 +421,7 @@ func (s *Site) handle(ctx context.Context, from wire.SiteID, msg wire.Message) w
 	}
 }
 
-// flushLoop pushes the replication backlog periodically, and — when
-// epoch-aligned flushing is on — immediately after each durable-epoch
-// advance, so the freshly fenced window ships without waiting out the
-// rest of the flush interval. s.flushKick is nil when alignment is off
-// and the nil channel simply never fires.
+// flushLoop pushes the replication backlog periodically.
 func (s *Site) flushLoop() {
 	defer s.wg.Done()
 	for {
@@ -507,7 +429,6 @@ func (s *Site) flushLoop() {
 		case <-s.stop:
 			return
 		case <-s.cfg.Clock.After(s.cfg.FlushInterval):
-		case <-s.flushKick:
 		}
 		ctx, cancel := clock.WithTimeout(context.Background(), s.cfg.Clock, s.cfg.FlushInterval)
 		_ = s.repl.Flush(ctx, s.node, s.cfg.Peers)
@@ -689,10 +610,6 @@ func (s *Site) ID() wire.SiteID { return s.cfg.ID }
 
 // Engine returns the local storage engine.
 func (s *Site) Engine() *storage.Engine { return s.eng }
-
-// Epochs returns the storage engine's commit-epoch manager, nil when
-// epoch commit is off.
-func (s *Site) Epochs() *epoch.Manager { return s.eng.Epochs() }
 
 // AV returns the AV table.
 func (s *Site) AV() core.AVTable { return s.avt }

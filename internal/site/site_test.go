@@ -8,9 +8,7 @@ import (
 
 	"avdb/internal/clock"
 	"avdb/internal/core"
-	"avdb/internal/epoch"
 	"avdb/internal/eventlog"
-	"avdb/internal/metrics"
 	"avdb/internal/storage"
 	"avdb/internal/transport/memnet"
 	"avdb/internal/wire"
@@ -645,23 +643,18 @@ func TestReopenRequiresStorageDir(t *testing.T) {
 	}
 }
 
-// TestEpochModeSiteEndToEnd runs a durable two-site cluster with
-// epoch-based commit on everywhere: Delay Updates (decrements ride the
-// AV journal's epochs), an Immediate Update (2PC votes and acks carry
-// epoch numbers), a read-your-writes token satisfied off an
-// epoch-released commit, and a restart that must recover every
-// acknowledged effect.
-func TestEpochModeSiteEndToEnd(t *testing.T) {
+// TestDurableSiteEndToEnd runs a durable two-site cluster with
+// persistent AV: a Delay Update, a read-your-writes token satisfied off
+// its group-committed ack, an Immediate Update, and a restart that must
+// recover every acknowledged effect.
+func TestDurableSiteEndToEnd(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir()}
-	st := &epoch.Stats{AckWait: metrics.NewHistogram()}
 	net := memnet.New(memnet.Options{})
 	open := func(id int, network *memnet.Net) *Site {
 		c := Config{
 			ID: wire.SiteID(id), Base: 0,
 			StorageDir: dirs[id], PersistAV: true, NoSync: true,
-			EpochInterval: 200 * time.Microsecond,
-			EpochStats:    st,
-			ReadPlane:     true,
+			ReadPlane: true,
 		}
 		for p := 0; p < 2; p++ {
 			if p != id {
@@ -687,35 +680,23 @@ func TestEpochModeSiteEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Delay Update: the zero-communication decrement's ack rode an epoch.
+	// Delay Update: the zero-communication decrement.
 	res, err := sites[1].Update(bg(), "reg", -40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Commits.Load() == 0 || st.Epochs.Load() == 0 {
-		t.Fatalf("no epoch activity after a durable update: %d commits / %d epochs",
-			st.Commits.Load(), st.Epochs.Load())
-	}
-	if sites[1].Epochs() == nil {
-		t.Fatal("Epochs() accessor nil with epoch commit on")
-	}
-	if sites[1].Epochs().Durable() == 0 {
-		t.Fatal("no epoch durable after an acknowledged update")
-	}
 
-	// RYW: a token minted from the epoch-released commit is satisfiable
-	// (epoch commit keeps the LSN sequence dense).
+	// RYW: a token minted from the acknowledged commit is satisfiable.
 	ctx, cancel := context.WithTimeout(bg(), 5*time.Second)
 	defer cancel()
 	if err := sites[1].ReadPlane().WaitFor(ctx, sites[1].Token(res)); err != nil {
-		t.Fatalf("RYW token not satisfied under epoch commit: %v", err)
+		t.Fatalf("RYW token not satisfied: %v", err)
 	}
 	if v, ok := sites[1].ReadPlane().Stock().Amount("reg"); !ok || v != 560 {
 		t.Fatalf("read plane stock = %d/%v, want 560", v, ok)
 	}
 
-	// Immediate Update: 2PC across epoch-mode sites. Votes/acks carry
-	// epoch numbers on the wire (optional trailing fields).
+	// Immediate Update: 2PC across both durable sites.
 	if _, err := sites[1].Update(bg(), "non", -10); err != nil {
 		t.Fatal(err)
 	}

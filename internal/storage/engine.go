@@ -8,11 +8,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"avdb/internal/btree"
-	"avdb/internal/clock"
-	"avdb/internal/epoch"
 	"avdb/internal/wal"
 )
 
@@ -48,33 +45,8 @@ type Options struct {
 	NoSync bool
 	// SegmentMaxBytes is passed through to wal.Options.
 	SegmentMaxBytes int64
-	// MaxSyncDelay is passed through to wal.Options (group-commit stall).
-	MaxSyncDelay time.Duration
 	// Stats is passed through to wal.Options (shared fsync counters).
 	Stats *wal.Stats
-	// EpochInterval, when positive on a durable engine, routes Apply's
-	// durability wait through an epoch manager: commits apply immediately
-	// and their acknowledgements ride epoch boundaries, amortizing one
-	// covering fsync across every commit in the epoch. Zero keeps the
-	// per-commit group-commit SyncTo path.
-	EpochInterval time.Duration
-	// EpochMaxCommits closes an epoch early once it holds this many
-	// commits (0 means epoch.DefaultMaxCommits; negative disables).
-	EpochMaxCommits int
-	// EpochAdaptive turns on the epoch manager's adaptive interval
-	// controller; EpochMinInterval/EpochMaxInterval clamp it (see
-	// epoch.Options).
-	EpochAdaptive    bool
-	EpochMinInterval time.Duration
-	EpochMaxInterval time.Duration
-	// EpochOnDurable, when non-nil, fires each time the durable epoch
-	// watermark advances (see epoch.Options.OnDurable).
-	EpochOnDurable func(epoch uint64)
-	// Clock drives epoch deadlines (nil means the real clock).
-	Clock clock.Clock
-	// EpochStats, when non-nil, receives epoch counters (shareable with
-	// other managers of the same site).
-	EpochStats *epoch.Stats
 }
 
 // stripe is one lock-striped partition of the key space: keys hash to a
@@ -96,9 +68,8 @@ type Engine struct {
 	opts Options
 
 	stripes [numStripes]stripe
-	log     *wal.Log       // nil when in-memory; internally synchronized
-	epochs  *epoch.Manager // nil unless EpochInterval > 0 on a durable engine
-	closed  bool           // guarded by holding all stripe locks to set, any one to read
+	log     *wal.Log // nil when in-memory; internally synchronized
+	closed  bool     // guarded by holding all stripe locks to set, any one to read
 
 	// lastLSN is the highest LSN whose batch has been applied to the
 	// table. Durable engines take LSNs from the WAL; in-memory engines
@@ -131,7 +102,6 @@ func Open(opts Options) (*Engine, error) {
 	log, err := wal.Open(filepath.Join(opts.Dir, "wal"), wal.Options{
 		NoSync:          opts.NoSync,
 		SegmentMaxBytes: opts.SegmentMaxBytes,
-		MaxSyncDelay:    opts.MaxSyncDelay,
 		Stats:           opts.Stats,
 	})
 	if err != nil {
@@ -154,25 +124,8 @@ func Open(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e.lastLSN.Store(log.NextLSN() - 1)
-	if opts.EpochInterval > 0 {
-		e.epochs = epoch.New(epoch.Options{
-			Interval:    opts.EpochInterval,
-			MaxCommits:  opts.EpochMaxCommits,
-			Clock:       opts.Clock,
-			Sync:        log.SyncTo,
-			Stats:       opts.EpochStats,
-			Adaptive:    opts.EpochAdaptive,
-			MinInterval: opts.EpochMinInterval,
-			MaxInterval: opts.EpochMaxInterval,
-			OnDurable:   opts.EpochOnDurable,
-		})
-	}
 	return e, nil
 }
-
-// Epochs returns the engine's epoch manager, nil when epoch commit is
-// off (or the engine is in-memory).
-func (e *Engine) Epochs() *epoch.Manager { return e.epochs }
 
 // SetApplyObserver installs fn to be called for every applied batch
 // with the batch's LSN and ops. It is called while the batch's stripe
@@ -385,10 +338,7 @@ func (e *Engine) SnapshotAmounts() (map[string]int64, uint64, error) {
 // locks are released — concurrent commits share one group-commit fsync
 // instead of holding their stripes through it — and Apply returns only
 // once its WAL record is durable (so a commit acknowledgement never
-// escapes the site for a batch a crash could lose). With epoch commit
-// on, the wait rides the open epoch's boundary instead: same record,
-// same order, same durable-before-ack guarantee, one covering fsync per
-// epoch instead of one group commit per batch.
+// escapes the site for a batch a crash could lose).
 func (e *Engine) Apply(ops ...Op) error {
 	if len(ops) == 0 {
 		return nil
@@ -398,49 +348,9 @@ func (e *Engine) Apply(ops ...Op) error {
 		return err
 	}
 	if e.log != nil && lsn > 0 {
-		if e.epochs != nil {
-			_, err := e.epochs.Commit(lsn)
-			return err
-		}
 		return e.log.SyncTo(lsn)
 	}
 	return nil
-}
-
-// applied reports a no-op durability wait, shared by every ApplyAsync
-// call that has nothing to wait for.
-func applied() error { return nil }
-
-// ApplyAsync applies a batch exactly as Apply does but returns before
-// the durability wait: the batch is validated, logged, and visible in
-// the table, and the returned wait function blocks until its WAL record
-// is durable (riding the open epoch's boundary when epoch commit is
-// on). This is the pipelined commit path — a caller can keep applying
-// batches into epoch N+1 while epoch N's covering fsync drains, as long
-// as it withholds every acknowledgement until the matching wait
-// returns. For in-memory engines the wait is an immediate no-op.
-func (e *Engine) ApplyAsync(ops ...Op) (wait func() error, err error) {
-	if len(ops) == 0 {
-		return applied, nil
-	}
-	lsn, err := e.applyBatch(ops)
-	if err != nil {
-		return nil, err
-	}
-	if e.log == nil || lsn == 0 {
-		return applied, nil
-	}
-	if e.epochs != nil {
-		t, err := e.epochs.Enqueue(lsn)
-		if err != nil {
-			return nil, err
-		}
-		return func() error {
-			_, err := t.Wait()
-			return err
-		}, nil
-	}
-	return func() error { return e.log.SyncTo(lsn) }, nil
 }
 
 // applyBatch validates, logs, and applies one batch under its stripe
@@ -745,16 +655,8 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	var err error
-	if e.epochs != nil {
-		// Flush the open epoch (releasing any committers still waiting on
-		// its boundary) before the log goes away underneath it.
-		err = e.epochs.Close()
-	}
 	if e.log != nil {
-		if cerr := e.log.Close(); err == nil {
-			err = cerr
-		}
+		return e.log.Close()
 	}
-	return err
+	return nil
 }

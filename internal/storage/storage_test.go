@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -160,6 +161,55 @@ func TestRecoveryFromWAL(t *testing.T) {
 	}
 	if _, err := e2.Get("p2"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("deleted record resurrected by recovery")
+	}
+}
+
+// TestConcurrentApplyAckedIsDurable pins the ack contract of Apply under
+// concurrency, with real fsyncs so group commit batches the workers: an
+// Apply that returned has its WAL record covered by the durable
+// watermark. The record's LSN is at least the log's NextLSN read before
+// the call, so DurableLSN must reach that. Every acknowledged delta
+// then survives a restart.
+func TestConcurrentApplyAckedIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, per = 8, 25
+	for w := 0; w < workers; w++ {
+		if err := e.Put(Record{Key: fmt.Sprintf("k%d", w)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				nextBefore := e.log.NextLSN()
+				if err := e.Apply(DeltaOp(key, 1)); err != nil {
+					t.Errorf("apply: %v", err)
+					return
+				}
+				if got := e.log.DurableLSN(); got < nextBefore {
+					t.Errorf("acked apply not durable: DurableLSN %d < %d", got, nextBefore)
+					return
+				}
+			}
+		}(fmt.Sprintf("k%d", w))
+	}
+	wg.Wait()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2 := diskEngine(t, dir)
+	defer e2.Close()
+	for w := 0; w < workers; w++ {
+		if n, err := e2.Amount(fmt.Sprintf("k%d", w)); err != nil || n != per {
+			t.Fatalf("k%d recovered %d, %v; want %d", w, n, err, per)
+		}
 	}
 }
 

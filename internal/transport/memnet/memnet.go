@@ -128,10 +128,10 @@ func (n *Net) Settle() {
 }
 
 // Activity returns the current number of in-flight messages and
-// still-running inbound handlers. The simulator's epoch-mode scheduler
-// polls this instead of blocking in Settle: with epoch-based commit a
-// handler may park on an epoch boundary that only a virtual-clock
-// advance can close, so full settle (act == 0) may be unreachable while
+// still-running inbound handlers. The simulator's partitioned-mode
+// scheduler polls this instead of blocking in Settle: a routed update
+// runs inside a handler that may park on a deadline only a virtual-clock
+// advance can pass, so full settle (act == 0) may be unreachable while
 // a stable nonzero activity level is the real fixpoint.
 func (n *Net) Activity() int {
 	n.actMu.Lock()

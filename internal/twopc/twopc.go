@@ -27,9 +27,7 @@ import (
 	"time"
 
 	"avdb/internal/clock"
-	"avdb/internal/epoch"
 	"avdb/internal/failure"
-	"avdb/internal/metrics"
 	"avdb/internal/storage"
 	"avdb/internal/trace"
 	"avdb/internal/transport"
@@ -103,19 +101,6 @@ type Options struct {
 	// (or decided) would confuse the two transactions. Each incarnation
 	// must pass a fresh epoch; epoch e starts the counter at e<<32.
 	IDEpoch uint64
-	// Epochs, when non-nil, is the site's commit-epoch manager (the
-	// storage engine's). Votes then carry the participant's open epoch at
-	// prepare and OK acks the participant's durable epoch at commit, so
-	// the coordinator can observe rounds pipelining across adjacent
-	// epochs (Stats.CrossEpochCommits). Durability semantics are
-	// unchanged: a participant's commit still waits for its covering LSN
-	// (via the epoch boundary) before the ack escapes.
-	Epochs *epoch.Manager
-	// MaxPipelined bounds how many UpdateAsync rounds may be in flight —
-	// locally applied but their durability-and-ack completion still
-	// draining — at once (default 8; values below 1 clamp to 1, which
-	// serializes rounds again). Synchronous Update ignores it.
-	MaxPipelined int
 }
 
 // Outcome is one locally applied transaction decision, as reported to
@@ -136,19 +121,6 @@ type Stats struct {
 	Aborts          atomic.Int64 // coordinated updates that ended in abort
 	Swept           atomic.Int64 // prepared transactions freed by presumed abort
 	DecisionRetries atomic.Int64 // decision deliveries that needed a retry
-	// CrossEpochCommits counts committed updates whose participant acks
-	// reported a durable epoch beyond the epoch any vote was prepared in
-	// — i.e. rounds that pipelined across an epoch boundary. Only moves
-	// when Options.Epochs is set cluster-wide.
-	CrossEpochCommits atomic.Int64
-	// PipelinedCommits counts UpdateAsync rounds that committed while at
-	// least one earlier async round was still draining — commits that
-	// genuinely overlapped the durability boundary.
-	PipelinedCommits atomic.Int64
-	// OverlapDepth, when non-nil, observes the in-flight async round
-	// count (unitless) at each UpdateAsync admission. Install before the
-	// engine sees concurrent use.
-	OverlapDepth *metrics.Histogram
 }
 
 // maxDecidedTxns bounds the decided-outcome cache that makes duplicate
@@ -171,11 +143,6 @@ type Engine struct {
 	// presumed abort). Bounded FIFO.
 	decided      map[uint64]bool
 	decidedOrder []uint64
-
-	// window bounds in-flight UpdateAsync rounds; depth tracks how many
-	// hold a slot right now (the overlap-depth signal).
-	window chan struct{}
-	depth  atomic.Int64
 
 	stats Stats
 }
@@ -211,17 +178,11 @@ func New(opts Options, tm *txn.Manager) *Engine {
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
 	}
-	if opts.MaxPipelined == 0 {
-		opts.MaxPipelined = 8
-	} else if opts.MaxPipelined < 1 {
-		opts.MaxPipelined = 1
-	}
 	e := &Engine{
 		opts:     opts,
 		tm:       tm,
 		prepared: make(map[uint64]*preparedTxn),
 		decided:  make(map[uint64]bool),
-		window:   make(chan struct{}, opts.MaxPipelined),
 	}
 	e.next.Store(opts.IDEpoch << 32 & (1<<40 - 1))
 	return e
@@ -278,7 +239,7 @@ func (e *Engine) Update(ctx context.Context, peers []wire.SiteID, key string, de
 		return fmt.Errorf("%w: local prepare: %v", ErrAborted, err)
 	}
 
-	allOK, reason, maxVoteEpoch := e.prepareAll(ctx, peers, txnID, key, delta)
+	allOK, reason := e.prepareAll(ctx, peers, txnID, key, delta)
 
 	// Phase 2: decide.
 	if !allOK {
@@ -301,7 +262,23 @@ func (e *Engine) Update(ctx context.Context, peers []wire.SiteID, key string, de
 		return fmt.Errorf("%w: local commit: %v", ErrAborted, err)
 	}
 	e.observe(txnID, key, true, false)
-	return e.commitBroadcast(ctx, peers, txnID, key, maxVoteEpoch)
+
+	// Completion rule: the round is complete only once the base site
+	// acknowledged the COMMIT.
+	base := e.opts.Base
+	if e.opts.BaseFor != nil {
+		base = e.opts.BaseFor(key)
+	}
+	baseAcked := base == e.opts.Site // self-ack when we host the base
+	e.broadcastDecision(ctx, peers, txnID, true, func(p wire.SiteID, ok bool) {
+		if p == base && ok {
+			baseAcked = true
+		}
+	})
+	if !baseAcked {
+		return ErrCompletionUnknown
+	}
+	return nil
 }
 
 // prepareAll runs phase 1: prepare at every peer simultaneously (paper:
@@ -309,13 +286,11 @@ func (e *Engine) Update(ctx context.Context, peers []wire.SiteID, key string, de
 // simultaneously") and collect every vote. On failure the reported
 // reason is the failing vote with the lowest site ID, so the abort
 // reason does not depend on which reply happened to arrive first.
-// maxVoteEpoch is the highest participant epoch any prepare rode.
-func (e *Engine) prepareAll(ctx context.Context, peers []wire.SiteID, txnID uint64, key string, delta int64) (allOK bool, reason string, maxVoteEpoch uint64) {
+func (e *Engine) prepareAll(ctx context.Context, peers []wire.SiteID, txnID uint64, key string, delta int64) (allOK bool, reason string) {
 	type voteResult struct {
-		peer  wire.SiteID
-		ok    bool
-		why   string
-		epoch uint64
+		peer wire.SiteID
+		ok   bool
+		why  string
 	}
 	votes := make(chan voteResult, len(peers))
 	for _, p := range peers {
@@ -337,16 +312,13 @@ func (e *Engine) prepareAll(ctx context.Context, peers []wire.SiteID, txnID uint
 				votes <- voteResult{peer: p, ok: false, why: fmt.Sprintf("bad reply %T", reply)}
 				return
 			}
-			votes <- voteResult{peer: p, ok: v.OK, why: v.Reason, epoch: v.Epoch}
+			votes <- voteResult{peer: p, ok: v.OK, why: v.Reason}
 		}(p)
 	}
 	allOK = true
 	var failedPeer wire.SiteID
 	for range peers {
 		v := <-votes
-		if v.epoch > maxVoteEpoch {
-			maxVoteEpoch = v.epoch
-		}
 		if v.ok {
 			continue
 		}
@@ -356,170 +328,13 @@ func (e *Engine) prepareAll(ctx context.Context, peers []wire.SiteID, txnID uint
 			reason = fmt.Sprintf("site %d: %s", v.peer, v.why)
 		}
 	}
-	return allOK, reason, maxVoteEpoch
-}
-
-// commitBroadcast distributes a COMMIT decision for a locally durable
-// transaction and applies the paper's completion rule: the round is
-// complete only once the base site acknowledged.
-func (e *Engine) commitBroadcast(ctx context.Context, peers []wire.SiteID, txnID uint64, key string, maxVoteEpoch uint64) error {
-	base := e.opts.Base
-	if e.opts.BaseFor != nil {
-		base = e.opts.BaseFor(key)
-	}
-	baseAcked := base == e.opts.Site // self-ack when we host the base
-	crossEpoch := false
-	e.broadcastDecision(ctx, peers, txnID, true, func(p wire.SiteID, ok bool, ackEpoch uint64) {
-		if p == base && ok {
-			baseAcked = true
-		}
-		// An OK ack whose durable epoch is beyond every prepare epoch
-		// means this round straddled an epoch boundary at the
-		// participant: prepare in epoch N, durable commit in N+1 or
-		// later, with the epochs pipelining the rounds in between.
-		if ok && ackEpoch > maxVoteEpoch && maxVoteEpoch > 0 {
-			crossEpoch = true
-		}
-	})
-	if crossEpoch {
-		e.stats.CrossEpochCommits.Add(1)
-	}
-	if !baseAcked {
-		return ErrCompletionUnknown
-	}
-	return nil
-}
-
-// Pending is one pipelined update's completion handle, returned by
-// UpdateAsync once the round is decided and applied locally. Done
-// closes when the round's durability wait and decision acknowledgements
-// have drained; Err is valid after Done.
-type Pending struct {
-	// TxnID identifies the round (per-txn completion tracking).
-	TxnID uint64
-	done  chan struct{}
-	err   error
-}
-
-// Done is closed once the round has fully completed.
-func (p *Pending) Done() <-chan struct{} { return p.done }
-
-// Err returns the round's outcome (nil, ErrAborted-wrapped, or
-// ErrCompletionUnknown). Valid only after Done is closed.
-func (p *Pending) Err() error { return p.err }
-
-// Wait blocks until the round completes and returns its outcome.
-func (p *Pending) Wait() error {
-	<-p.done
-	return p.err
-}
-
-// UpdateAsync coordinates one Immediate Update like Update but pipelines
-// the tail: it runs phase 1, takes the decision, and applies the commit
-// locally, then returns a Pending while the commit's durability wait and
-// the decision broadcast drain in the background. The caller can issue
-// the next round's prepares immediately — epoch N+1 fills while epoch
-// N's covering fsync is in flight. Votes carry no durable effect, so
-// deferring only the commit-ack wait preserves every 2PC invariant: the
-// COMMIT decision still never escapes before the local record is
-// durable. At most MaxPipelined rounds may be draining at once;
-// UpdateAsync blocks for a window slot when the pipeline is full.
-//
-// An abort (failed vote, unreachable participant) is reported
-// synchronously: UpdateAsync returns (nil, error) and nothing is left
-// in flight.
-func (e *Engine) UpdateAsync(ctx context.Context, peers []wire.SiteID, key string, delta int64) (*Pending, error) {
-	ctx, sp := e.opts.Tracer.Start(ctx, e.opts.Site, "iu.update")
-	if sp != nil {
-		sp.SetAttr("key", key)
-	}
-	select {
-	case e.window <- struct{}{}:
-	case <-ctx.Done():
-		err := ctx.Err()
-		if sp != nil {
-			sp.Finish(err)
-		}
-		return nil, err
-	}
-	depth := e.depth.Add(1)
-	pipelined := depth > 1
-	if e.stats.OverlapDepth != nil {
-		e.stats.OverlapDepth.Observe(time.Duration(depth))
-	}
-	release := func() {
-		e.depth.Add(-1)
-		<-e.window
-	}
-	fail := func(err error) (*Pending, error) {
-		release()
-		if sp != nil {
-			sp.Finish(err)
-		}
-		return nil, err
-	}
-
-	txnID := e.newTxnID()
-	local := e.tm.Begin()
-	if err := e.tentative(ctx, local, key, delta); err != nil {
-		local.Abort()
-		return fail(fmt.Errorf("%w: local prepare: %v", ErrAborted, err))
-	}
-	allOK, reason, maxVoteEpoch := e.prepareAll(ctx, peers, txnID, key, delta)
-	if !allOK {
-		local.Abort()
-		e.observe(txnID, key, false, false)
-		e.stats.Aborts.Add(1)
-		e.broadcastDecision(ctx, peers, txnID, false, nil)
-		return fail(fmt.Errorf("%w: %s", ErrAborted, reason))
-	}
-	// Apply the commit locally but defer the durability wait: the effects
-	// become visible now (exactly as with Commit — the engine never hid
-	// them behind the fsync) while the acknowledgement, and the COMMIT
-	// broadcast it licenses, move behind the epoch boundary.
-	wait, err := local.CommitAsync()
-	if err != nil {
-		e.observe(txnID, key, false, false)
-		e.stats.Aborts.Add(1)
-		e.broadcastDecision(ctx, peers, txnID, false, nil)
-		return fail(fmt.Errorf("%w: local commit: %v", ErrAborted, err))
-	}
-	p := &Pending{TxnID: txnID, done: make(chan struct{})}
-	go func() {
-		p.err = e.complete(ctx, peers, txnID, key, maxVoteEpoch, wait, pipelined)
-		if sp != nil {
-			sp.Finish(p.err)
-		}
-		close(p.done)
-		release()
-	}()
-	return p, nil
-}
-
-// complete drains one pipelined round: waits out the local durability
-// boundary, then broadcasts the COMMIT decision (which must never
-// escape for a transaction a crash could lose) and collects acks.
-func (e *Engine) complete(ctx context.Context, peers []wire.SiteID, txnID uint64, key string, maxVoteEpoch uint64, wait func() error, pipelined bool) error {
-	if err := wait(); err != nil {
-		// The covering sync failed: same hazard as a failed local Commit
-		// on the synchronous path — treat it as a global abort to stay
-		// safe.
-		e.observe(txnID, key, false, false)
-		e.stats.Aborts.Add(1)
-		e.broadcastDecision(ctx, peers, txnID, false, nil)
-		return fmt.Errorf("%w: local commit: %v", ErrAborted, err)
-	}
-	e.observe(txnID, key, true, false)
-	if pipelined {
-		e.stats.PipelinedCommits.Add(1)
-	}
-	return e.commitBroadcast(ctx, peers, txnID, key, maxVoteEpoch)
+	return allOK, reason
 }
 
 // broadcastDecision distributes the decision and reports each ack via
 // onAck (which may be nil). It waits for all peers (bounded by
 // PrepareTimeout each, in parallel).
-func (e *Engine) broadcastDecision(ctx context.Context, peers []wire.SiteID, txnID uint64, commit bool, onAck func(p wire.SiteID, ok bool, ackEpoch uint64)) {
+func (e *Engine) broadcastDecision(ctx context.Context, peers []wire.SiteID, txnID uint64, commit bool, onAck func(p wire.SiteID, ok bool)) {
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, p := range peers {
@@ -527,7 +342,6 @@ func (e *Engine) broadcastDecision(ctx context.Context, peers []wire.SiteID, txn
 		go func(p wire.SiteID) {
 			defer wg.Done()
 			ok := false
-			var ackEpoch uint64
 			// A lost decision would leave the participant prepared until
 			// its TTL sweep presumes abort, so retry with backoff — the
 			// participant's decided-outcome cache makes duplicates safe.
@@ -552,13 +366,12 @@ func (e *Engine) broadcastDecision(ctx context.Context, peers []wire.SiteID, txn
 				}
 				if a, isAck := reply.(*wire.IUAck); isAck && a.OK {
 					ok = true
-					ackEpoch = a.Epoch
 				}
 				break
 			}
 			if onAck != nil {
 				mu.Lock()
-				onAck(p, ok, ackEpoch)
+				onAck(p, ok)
 				mu.Unlock()
 			}
 		}(p)
@@ -607,11 +420,7 @@ func (e *Engine) HandlePrepare(ctx context.Context, from wire.SiteID, msg *wire.
 	}
 	e.prepared[msg.TxnID] = &preparedTxn{tx: tx, key: msg.Key, deadline: e.opts.Clock.Now().Add(e.opts.PreparedTTL)}
 	e.mu.Unlock()
-	vote := &wire.IUVote{TxnID: msg.TxnID, OK: true}
-	if e.opts.Epochs != nil {
-		vote.Epoch = e.opts.Epochs.Current()
-	}
-	return vote
+	return &wire.IUVote{TxnID: msg.TxnID, OK: true}
 }
 
 // HandleDecision is the participant's phase-2 handler.
@@ -654,13 +463,7 @@ func (e *Engine) HandleDecision(ctx context.Context, from wire.SiteID, msg *wire
 			return &wire.IUAck{TxnID: msg.TxnID, OK: false}
 		}
 		e.observe(msg.TxnID, p.key, true, false)
-		ack := &wire.IUAck{TxnID: msg.TxnID, OK: true}
-		if e.opts.Epochs != nil {
-			// Commit just waited out its epoch boundary, so Durable() is at
-			// least the epoch the commit rode.
-			ack.Epoch = e.opts.Epochs.Durable()
-		}
-		return ack
+		return &wire.IUAck{TxnID: msg.TxnID, OK: true}
 	}
 	p.tx.Abort()
 	e.observe(msg.TxnID, p.key, false, false)

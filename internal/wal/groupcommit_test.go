@@ -180,21 +180,6 @@ func TestSyncToUnappendedLSNErrors(t *testing.T) {
 	}
 }
 
-func TestMaxSyncDelayStillCommits(t *testing.T) {
-	l, _ := openTemp(t, Options{MaxSyncDelay: time.Millisecond})
-	defer l.Close()
-	lsn, err := l.Append([]byte("delayed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.SyncTo(lsn); err != nil {
-		t.Fatal(err)
-	}
-	if l.DurableLSN() != lsn {
-		t.Fatalf("DurableLSN = %d, want %d", l.DurableLSN(), lsn)
-	}
-}
-
 // TestCrashDropsUnsyncedBufferedTail models a crash inside a
 // group-commit window: records appended but never covered by a round
 // exist only in the log's buffer, so recovery must come back with

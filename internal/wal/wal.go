@@ -91,11 +91,6 @@ type Options struct {
 	// against power loss is waived. Experiments that only need the code
 	// path set this for speed.
 	NoSync bool
-	// MaxSyncDelay, when positive, stalls each group-commit leader by
-	// this duration before flushing, widening batches at the cost of
-	// per-op latency. Default 0: the leader flushes immediately and
-	// batching comes only from waiters that pile up during the fsync.
-	MaxSyncDelay time.Duration
 	// Stats, when non-nil, receives the log's durability counters —
 	// pass a shared instance to aggregate across logs. Nil allocates a
 	// private one, reachable via (*Log).Stats().
@@ -404,9 +399,6 @@ func (l *Log) SyncTo(lsn uint64) error {
 // fsync (unless NoSync) every file carrying unsynced records, publish
 // the new durable LSN. Caller holds l.syncMu.
 func (l *Log) syncRoundLeader() error {
-	if d := l.opts.MaxSyncDelay; d > 0 {
-		time.Sleep(d) // widen the batch: appenders keep filling the buffer
-	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()

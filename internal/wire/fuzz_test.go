@@ -16,10 +16,10 @@ func fuzzSeeds() []*Envelope {
 		&DeltaAck{Origin: 3, UpTo: 99},
 		&IUPrepare{TxnID: 12, Coord: 0, Key: "product-0002", Delta: -5},
 		&IUVote{TxnID: 12, OK: false, Reason: "lock timeout"},
-		&IUVote{TxnID: 12, OK: true, Epoch: 3},
+		&IUVote{TxnID: 12, OK: true},
 		&IUDecision{TxnID: 12, Commit: true},
 		&IUAck{TxnID: 12, OK: true},
-		&IUAck{TxnID: 12, OK: true, Epoch: 9},
+		&IUAck{TxnID: 12, OK: false},
 		&CentralUpdate{Key: "product-0003", Delta: 7},
 		&CentralReply{OK: false, NewValue: 0, Reason: "rejected"},
 		&Read{Key: "product-0004"},

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -34,10 +36,10 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&DeltaAck{Origin: 2, UpTo: 12345},
 		&IUPrepare{TxnID: 99, Coord: 1, Key: "nonreg-4", Delta: -10},
 		&IUVote{TxnID: 99, OK: false, Reason: "lock timeout"},
-		&IUVote{TxnID: 99, OK: true, Epoch: 41},
+		&IUVote{TxnID: 99, OK: true},
 		&IUDecision{TxnID: 99, Commit: true},
 		&IUAck{TxnID: 99, OK: true},
-		&IUAck{TxnID: 99, OK: true, Epoch: 0xABCDEF},
+		&IUAck{TxnID: 99, OK: false},
 		&CentralUpdate{Key: "x", Delta: 123456789},
 		&CentralReply{OK: true, NewValue: -1, Reason: ""},
 		&CentralReply{OK: false, NewValue: 0, Reason: "would go negative"},
@@ -104,22 +106,23 @@ func TestDeltaSyncWindowTopOptionalField(t *testing.T) {
 	}
 }
 
-// TestEpochOptionalFields pins the same trailing-field contract for the
-// epoch numbers on IUVote and IUAck: epochs-off peers encode
-// byte-identically to the legacy format, and an explicit zero epoch is
-// rejected as non-canonical.
+// TestEpochOptionalFields pins the removal of the trailing epoch
+// numbers that older builds appended to IUVote and IUAck: the epochless
+// encoding decodes, and a frame still carrying an epoch is rejected as
+// trailing bytes, so an epoch-stamping node cannot join silently.
 func TestEpochOptionalFields(t *testing.T) {
-	for _, msgs := range [][2]Message{
-		{&IUVote{TxnID: 7, OK: true}, &IUVote{TxnID: 7, OK: true, Epoch: 0}},
-		{&IUAck{TxnID: 7, OK: true}, &IUAck{TxnID: 7, OK: true, Epoch: 0}},
+	for _, msg := range []Message{
+		&IUVote{TxnID: 7, OK: true},
+		&IUAck{TxnID: 7, OK: true},
 	} {
-		legacy := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: msgs[0]})
-		withZero := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: msgs[1]})
-		if !reflect.DeepEqual(legacy, withZero) {
-			t.Fatalf("%T: zero epoch changed the encoding:\nlegacy %x\n  zero %x", msgs[0], legacy, withZero)
+		plain := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: msg})
+		if _, err := DecodeEnvelope(plain); err != nil {
+			t.Fatalf("%T: epochless encoding rejected: %v", msg, err)
 		}
-		if _, err := DecodeEnvelope(append(append([]byte{}, legacy...), 0x00)); err == nil {
-			t.Fatalf("%T: explicit zero epoch accepted", msgs[0])
+		withEpoch := binary.AppendUvarint(append([]byte{}, plain...), 41)
+		_, err := DecodeEnvelope(withEpoch)
+		if err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+			t.Fatalf("%T: epoch-carrying encoding: err = %v, want trailing bytes", msg, err)
 		}
 	}
 }
